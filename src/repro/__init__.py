@@ -26,7 +26,6 @@ from .core.metrics import (
 )
 from .core.ordering import Ordering
 from .core.rcm_serial import rcm_serial
-from .distributed.rcm import DistRCMResult, rcm_distributed
 from .sparse.csr import CSRMatrix
 from .sparse.io import read_matrix_market, write_matrix_market
 
@@ -46,7 +45,22 @@ def rcm(A: CSRMatrix, *, nprocs: int | None = None, **kwargs) -> Ordering:
         if kwargs:
             raise TypeError(f"unexpected arguments for serial RCM: {sorted(kwargs)}")
         return rcm_serial(A)
+    from .distributed.rcm import rcm_distributed
+
     return rcm_distributed(A, nprocs=nprocs, **kwargs).ordering
+
+
+def __getattr__(name: str):
+    """Load the distributed stack on first use (PEP 562).
+
+    Serial-only users skip importing it; ``repro.rcm_distributed`` is
+    still the very object ``repro.distributed.rcm`` defines.
+    """
+    if name in ("rcm_distributed", "DistRCMResult"):
+        from .distributed import rcm as _dist_rcm
+
+        return getattr(_dist_rcm, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

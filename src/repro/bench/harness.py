@@ -669,7 +669,14 @@ def measure_finder_batching(A, starts, repeats: int = 1):
     The looped baseline is the independent one-root-at-a-time
     implementation, and BOTH sides are pinned to the numpy backend so
     the comparison isolates batching from backend choice (the batched
-    sweep's gathers are backend-independent).  The batched side forces
+    sweep's gathers are backend-independent).  The looped side passes
+    ``direction="adaptive"`` (the batched sweep's own default) so it
+    runs the per-level loop, not the compiled csgraph traversal that
+    ``bfs_levels`` takes without a ``direction=``.  That loop is no
+    longer the library's default single-start finder: k compiled
+    single-start runs now beat the batched sweep on sparse graphs too,
+    so the ratio measures batching against the level loop, not against
+    the fastest path the library has.  The batched side forces
     ``heuristic=False`` — this function measures batching itself, so the
     frontier-density fallback must not silently route dense graphs back
     to the scalar loop it is being compared against.  Returns
@@ -683,7 +690,10 @@ def measure_finder_batching(A, starts, repeats: int = 1):
     with backend_scope("numpy"):
         looped_s, looped = best_of(
             repeats,
-            lambda: [find_pseudo_peripheral_reference(A, int(s)) for s in starts],
+            lambda: [
+                find_pseudo_peripheral_reference(A, int(s), direction="adaptive")
+                for s in starts
+            ],
         )
         batched_s, batched = best_of(
             repeats,

@@ -228,6 +228,8 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
             )
             if not same:
                 raise AssertionError(f"batched finder diverged on {name}")
+            # batched sweep vs the per-level loop; k compiled single-start
+            # runs (the default BFS) are faster than either on sparse graphs
             metrics[f"finder.batched_speedup.{name}"] = _metric(
                 looped_s / max(batched_s, 1e-300),
                 "x",
@@ -400,12 +402,14 @@ def _compiled_backend_metrics(
     fig5/csc-ablation protocol, via
     :func:`~repro.bench.harness.measure_thread_scaling`) and whole
     serial BFS per thread count of ``config.compiled_threads``, records
-    speedups against the numpy baselines already collected in
-    ``metrics`` (re-measured if the compiled matrix is not in the
-    serial set), and emits one hard-gated ``bit_identical`` metric —
-    every thread count and the numpy oracle must agree exactly.
+    speedups against numpy baselines (the SpMSpV one reused from
+    ``metrics`` when the compiled matrix is in the serial set), and
+    emits one hard-gated ``bit_identical`` metric — every thread count
+    and the numpy oracle must agree exactly.  Every BFS here names its
+    backend: ``bfs_levels`` without one is a csgraph traversal that
+    calls no kernel backend, so ``serial.bfs.*`` is no numpy baseline.
     """
-    from ..backends import available_backends, backend_scope, resolve_backend
+    from ..backends import available_backends, resolve_backend
     from ..core.bfs import bfs_levels
     from ..matrices.suite import PAPER_SUITE
     from .harness import best_of, measure_thread_scaling
@@ -437,23 +441,18 @@ def _compiled_backend_metrics(
 
         per_backend, _ = measure_spmspv_backends(A, repeats=config.repeats)
         numpy_spmspv_s = per_backend["numpy"]
-    numpy_bfs = metrics.get(f"serial.bfs.{name}.seconds")
-    if numpy_bfs is not None:
-        numpy_bfs_s = numpy_bfs["value"]
-    else:
-        with backend_scope("numpy"):
-            numpy_bfs_s, _ = best_of(config.repeats, bfs_levels, A, 0)
-
-    with backend_scope("numpy"):
-        oracle_levels, _ = bfs_levels(A, 0)
+    numpy_bfs_s, (oracle_levels, _) = best_of(
+        config.repeats, bfs_levels, A, 0, backend="numpy"
+    )
     bfs_same = True
     bfs_s: dict[int, float] = {}
     for t in threads:
         spec = f"numba:threads={t}"
         resolve_backend(spec).warmup()
-        with backend_scope(spec):
-            bfs_levels(A, 0)  # untimed: JIT + matrix handle caches
-            bfs_s[t], (levels, _) = best_of(config.repeats, bfs_levels, A, 0)
+        bfs_levels(A, 0, backend=spec)  # untimed: JIT + matrix handle caches
+        bfs_s[t], (levels, _) = best_of(
+            config.repeats, bfs_levels, A, 0, backend=spec
+        )
         bfs_same = bfs_same and bool(np.array_equal(levels, oracle_levels))
         out[f"backend.numba.serial_bfs.{name}.threads{t}.seconds"] = _metric(
             bfs_s[t], "s", "lower", normalize=True, scale=scale, gate=False

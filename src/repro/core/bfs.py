@@ -6,6 +6,12 @@ reference implementation here expands whole frontiers with numpy gathers
 rather than vertex-at-a-time queue pops; it is used by metrics, the serial
 RCM, connected components, and as a test oracle for the algebraic
 formulation.
+
+When scipy imports, :func:`bfs_levels` called with its defaults runs the
+whole traversal in one compiled ``scipy.sparse.csgraph`` call instead of
+one Python iteration (~15 numpy calls) per level; the level loop stays
+as the explicit-``backend=``/``direction=`` path, the scipy-absent path
+and the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,7 +20,21 @@ import numpy as np
 
 from ..sparse.csr import CSRMatrix
 
+# Imported eagerly, never at first call: the service and the worker pool
+# fork before the first ordering, and a lazy import would land in their
+# first request.  scipy is optional; without it every traversal takes the
+# level loop.
+try:
+    from scipy.sparse import csr_matrix as _csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+except ImportError:
+    breadth_first_order = None
+
 __all__ = ["gather_rows", "bfs_levels", "bfs_parents", "level_sets"]
+
+#: Largest vertex or entry count csgraph's int32 index arrays can hold;
+#: bigger graphs take the level loop.
+INT32_LIMIT = int(np.iinfo(np.int32).max)
 
 
 def gather_rows(A: CSRMatrix, rows: np.ndarray) -> np.ndarray:
@@ -32,28 +52,90 @@ def gather_rows(A: CSRMatrix, rows: np.ndarray) -> np.ndarray:
     return A.indices[gather]
 
 
+def _compiled_traversal_ok(A: CSRMatrix) -> bool:
+    """True when csgraph can traverse ``A`` (scipy present, square, int32-sized)."""
+    return (
+        breadth_first_order is not None
+        and A.nrows == A.ncols
+        and max(A.nrows, A.nnz) <= INT32_LIMIT
+    )
+
+
+def _csgraph_pattern(A: CSRMatrix, indices: np.ndarray | None = None):
+    """An int32 scipy CSR handle on ``A``'s pattern for csgraph traversals.
+
+    ``indices`` (default ``A.indices``) may reorder the entries within
+    each row; csgraph visits a row's neighbors in stored order.  The
+    values are one broadcast scalar, so ``A.data`` is neither copied nor
+    touched — traversals read only the structure.
+    """
+    if indices is None:
+        indices = A.indices
+    n = A.nrows
+    ones = np.broadcast_to(np.float64(1.0), (A.nnz,))
+    return _csr_matrix((ones, indices.astype(np.int32), A.indptr.astype(np.int32)), shape=(n, n))
+
+
+def _bfs_levels_compiled(A: CSRMatrix, root: int) -> tuple[np.ndarray, int]:
+    """:func:`bfs_levels` as one csgraph traversal along out-edges.
+
+    A queue BFS visits parents in order, so the parents' positions in the
+    visit order never decrease along it.  Level ``d + 1`` therefore ends
+    right after the last vertex whose parent lies in level ``d``: one
+    lookup in the running count of parent positions per level.
+    """
+    handle = A._cache.get("csgraph")
+    if handle is None:
+        handle = A._cache["csgraph"] = _csgraph_pattern(A)
+    order, pred = breadth_first_order(handle, root, directed=True, return_predecessors=True)
+    n, m = A.nrows, order.size
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(m, dtype=np.int64)
+    # children_upto[p]: visited non-root vertices whose parent sits at
+    # position <= p
+    children_upto = np.cumsum(np.bincount(pos[pred[order[1:]]], minlength=m)).tolist()
+    bounds = [0, 1]
+    while bounds[-1] < m:
+        bounds.append(children_upto[bounds[-1] - 1] + 1)
+    nlevels = len(bounds) - 1
+    levels = np.full(n, -1, dtype=np.int64)
+    levels[order] = np.repeat(np.arange(nlevels, dtype=np.int64), np.diff(bounds))
+    return levels, nlevels
+
+
 def bfs_levels(
     A: CSRMatrix, root: int, backend=None, direction=None
 ) -> tuple[np.ndarray, int]:
     """Level of every vertex from ``root`` (-1 if unreachable).
 
     Returns ``(levels, nlevels)`` where ``nlevels`` counts nonempty levels
-    (the rooted level structure length, i.e. eccentricity + 1).  The
-    frontier-expansion kernel is supplied by the active kernel backend
-    (:mod:`repro.backends`); every backend returns identical levels.
+    (the rooted level structure length, i.e. eccentricity + 1).
+
+    Called with its defaults, the BFS is one compiled csgraph traversal
+    along out-edges (the same levels as ``direction="push"``).  It calls
+    no kernel backend, so an active ``backend_scope`` does not change
+    it; name the backend to time or test one.  Passing
+    ``backend=`` or ``direction=`` — or running without scipy, or on a
+    graph too big for int32 indices — runs the per-level loop: the
+    frontier-expansion kernel is supplied by the kernel backend
+    (:mod:`repro.backends`) and every backend returns identical levels.
 
     ``direction`` selects the level kernel (:mod:`repro.core.direction`):
     ``"push"`` expands the frontier top-down, ``"pull"`` scans the
-    unvisited vertices bottom-up, and ``"adaptive"`` (the default)
-    switches per level on Beamer-style edge-count thresholds.  Levels
-    are identical for every direction — only the work profile changes.
+    unvisited vertices bottom-up, and ``"adaptive"`` (the loop's
+    default) switches per level on Beamer-style edge-count thresholds.
+    On a structurally symmetric pattern levels are identical for every
+    direction — only the work profile changes.  On a non-symmetric one
+    they are not: push follows out-edges and pull follows in-edges.
     """
-    from ..backends import resolve_backend
-    from .direction import PULL, PUSH, resolve_direction
-
     n = A.nrows
     if not (0 <= root < n):
         raise ValueError("root out of range")
+    if backend is None and direction is None and _compiled_traversal_ok(A):
+        return _bfs_levels_compiled(A, int(root))
+    from ..backends import resolve_backend
+    from .direction import PULL, PUSH, resolve_direction
+
     policy = resolve_direction(direction)
     kernels = resolve_backend(backend)
     levels = np.full(n, -1, dtype=np.int64)

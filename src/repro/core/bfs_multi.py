@@ -41,6 +41,15 @@ __all__ = [
 #: in a handful of levels, so there is no per-level overhead to
 #: amortize and the lockstep bookkeeping constant loses — BENCH_PR1
 #: measured 0.56x on li7nmax6, avg degree ~120, 4 levels).
+#:
+#: ``rcm_serial.cm_serial`` uses the same split to pick its CM sweep,
+#: measured separately (whole ``rcm_serial`` on fresh matrices, one
+#: pinned vCPU, median of 25).  At or above it, sorting every row for
+#: the compiled sweep costs more than the level-wise sweep: li7nmax6
+#: (scale 1.0, avg degree 347) 22.2 ms compiled vs 12.7 ms level-wise,
+#: nm7 (805) 64.8 vs 39.6 ms.  Below it the compiled sweep wins: nd24k
+#: (22) 3.0 vs 4.7 ms.  On random graphs with n = 2000 the crossover lies
+#: between avg degree 47 (4.1 vs 6.2 ms) and 94 (7.2 vs 6.2 ms).
 DENSE_DEGREE_THRESHOLD = 48.0
 
 #: Minimum probe-BFS level count for the batch to win.  Below this the
@@ -106,8 +115,8 @@ def bfs_levels_multi(
     ``direction`` (:mod:`repro.core.direction`) picks push/pull/adaptive
     level kernels for the whole batch at once — the decision aggregates
     edge counts over all sources, since the lockstep sweep expands every
-    source's frontier in the same fused gather.  Levels are identical
-    for every direction.
+    source's frontier in the same fused gather.  On a structurally
+    symmetric pattern levels are identical for every direction.
     """
     from .direction import PULL, PUSH, resolve_direction
 

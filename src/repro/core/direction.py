@@ -19,10 +19,14 @@ batched and distributed BFS loops switching at the same levels, and —
 because the inputs are global scalars every engine computes identically
 — makes the decision deterministic across engines and drivers.
 
-Every caller guarantees **bit-identical results** regardless of the
-direction taken: pull kernels visit candidates in the same ascending-
-index order the push kernels produce after their dedup sort, so levels,
-parents, payloads and RCM orderings never depend on the switch.
+On a structurally symmetric pattern every caller guarantees
+**bit-identical results** regardless of the direction taken: pull
+kernels visit candidates in the same ascending-index order the push
+kernels produce after their dedup sort, so levels, parents, payloads and
+RCM orderings never depend on the switch.  On a non-symmetric pattern
+they do: push follows out-edges and pull follows in-edges, so with the
+single edge 0->1 a pull step from 0 never reaches 1.  Such input is not
+rejected yet.
 """
 
 from __future__ import annotations
@@ -115,10 +119,10 @@ class DirectionPolicy:
 #: Policy singletons the resolvers hand out for string spellings.
 _POLICIES = {mode: DirectionPolicy(mode=mode) for mode in DIRECTION_MODES}
 
-#: The library-wide default: adaptive switching.  BFS results are
-#: direction-independent by contract, so callers that do not care get
-#: the fast path automatically; benches force ``"push"`` to measure the
-#: paper's original kernels.
+#: The library-wide default: adaptive switching.  BFS results on
+#: symmetric patterns are direction-independent by contract, so callers
+#: that do not care get the fast path automatically; benches force
+#: ``"push"`` to measure the paper's original kernels.
 DEFAULT_DIRECTION = ADAPTIVE
 
 

@@ -5,11 +5,14 @@ Two independent implementations are provided:
 * :func:`cuthill_mckee_queue` — the textbook vertex-at-a-time queue
   formulation of Algorithm 1, kept deliberately simple; it is the oracle
   against which everything else is tested.
-* :func:`rcm_serial` — a vectorized level-at-a-time formulation whose
-  per-level ordering key ``(parent label, degree, vertex id)`` is exactly
-  the semantics of the paper's Algorithm 3, so its output must (and does,
-  by test) coincide with both the queue version and the distributed
-  algebraic version.
+* :func:`rcm_serial` — labels each component with one compiled queue
+  BFS (scipy's csgraph) over a copy of the graph whose rows are sorted
+  by neighbor (degree, vertex id) rank: a queue BFS over rows sorted
+  that way *is* Algorithm 1.  Dense graphs, and runs without scipy,
+  take a vectorized level-at-a-time sweep whose per-level ordering key
+  ``(parent label, degree, vertex id)`` is exactly the semantics of the
+  paper's Algorithm 3.  Both must (and do, by test) coincide with the
+  queue version and the distributed algebraic version.
 
 Both handle disconnected graphs by restarting from the smallest
 unnumbered vertex and finding a pseudo-peripheral root of its component,
@@ -21,7 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
-from .bfs import gather_rows
+from .bfs import (
+    _compiled_traversal_ok,
+    _csgraph_pattern,
+    breadth_first_order,
+    gather_rows,
+)
+from .bfs_multi import DENSE_DEGREE_THRESHOLD
 from .ordering import Ordering
 from .pseudo_peripheral import find_pseudo_peripheral
 
@@ -99,16 +108,55 @@ def _cm_component_levelwise(
     return next_label
 
 
+def _degree_ranked_csgraph(A: CSRMatrix, degrees: np.ndarray):
+    """csgraph handle on ``A`` with each row sorted by neighbor (degree, id).
+
+    Built once per matrix (cached); the sort is one fused-key
+    ``np.sort`` of ``row * n + rank``, O(nnz log nnz), which is why
+    dense graphs keep the level-wise sweep.
+    """
+    handle = A._cache.get("csgraph_cm")
+    if handle is None:
+        n = A.nrows
+        by_rank = np.argsort(degrees, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_rank] = np.arange(n, dtype=np.int64)
+        row_base = A.row_of_entry() * n
+        rank_sorted = np.sort(row_base + rank[A.indices]) - row_base
+        handle = A._cache["csgraph_cm"] = _csgraph_pattern(A, by_rank[rank_sorted])
+    return handle
+
+
+def _cm_component_compiled(handle, root: int, labels: np.ndarray, next_label: int) -> int | None:
+    """Label ``root``'s component in queue-BFS order; returns the next label.
+
+    Returns ``None``, labelling nothing, when the traversal reaches an
+    already-labelled vertex — possible only on a non-symmetric pattern,
+    where the caller falls back to the level-wise sweep.
+    """
+    order = breadth_first_order(handle, root, directed=True, return_predecessors=False)
+    if (labels[order] != -1).any():
+        return None
+    labels[order] = next_label + np.arange(order.size, dtype=np.int64)
+    return next_label + order.size
+
+
 def cm_serial(A: CSRMatrix, start: int | None = None) -> Ordering:
     """Cuthill-McKee ordering (not reversed) of all components.
 
     Components are processed in order of their smallest unnumbered vertex;
     each starts from a pseudo-peripheral root found by Algorithm 2/4 (or
-    from ``start`` for the first component when given).
+    from ``start`` for the first component when given).  Sparse graphs
+    (average degree below ``DENSE_DEGREE_THRESHOLD``) are labelled by
+    the compiled queue BFS when csgraph can run; dense ones, where
+    sorting the rows costs more than it saves, level by level.
     """
     _check_adjacency(A)
     n = A.nrows
     degrees = A.degrees()
+    cm_handle = None
+    if A.nnz < DENSE_DEGREE_THRESHOLD * n and _compiled_traversal_ok(A):
+        cm_handle = _degree_ranked_csgraph(A, degrees)
     labels = np.full(n, -1, dtype=np.int64)
     next_label = 0
     roots: list[int] = []
@@ -125,8 +173,18 @@ def cm_serial(A: CSRMatrix, start: int | None = None) -> Ordering:
         roots.append(pp.vertex)
         levels.append(pp.nlevels)
         bfs_total += pp.bfs_count
-        next_label = _cm_component_levelwise(A, pp.vertex, degrees, labels, next_label)
-    perm = np.argsort(labels, kind="stable").astype(np.int64)
+        labelled = None
+        if cm_handle is not None:
+            labelled = _cm_component_compiled(cm_handle, pp.vertex, labels, next_label)
+        if labelled is None:
+            labelled = _cm_component_levelwise(A, pp.vertex, degrees, labels, next_label)
+        next_label = labelled
+    if next_label == n and (n == 0 or labels.min() >= 0):
+        # every vertex labelled exactly once: invert instead of sorting
+        perm = np.empty(n, dtype=np.int64)
+        perm[labels] = np.arange(n, dtype=np.int64)
+    else:  # a non-symmetric pattern can leave gaps
+        perm = np.argsort(labels, kind="stable").astype(np.int64)
     return Ordering(
         perm=perm,
         algorithm="cm-serial",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,20 @@ def _disarm_faults():
     """A fault armed by one test must never leak into the next."""
     yield
     faults.reset()
+
+
+@contextlib.contextmanager
+def level_loop():
+    """Make serial RCM traverse through the per-level kernel loop.
+
+    Its default BFS and CM sweep are single csgraph calls that use no
+    kernel backend.  With csgraph hidden, as on a host without scipy,
+    they take the level loop, whose frontier kernel is the active
+    backend's — so a backend scope around the call really is exercised.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("repro.core.bfs"), "breadth_first_order", None)
+        yield
 
 
 def csr_from_edges(n: int, edges) -> CSRMatrix:

@@ -31,7 +31,7 @@ from repro.semiring import (
 from repro.sparse import CSRMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.spvector import SparseVector
-from tests.conftest import csr_from_edges
+from tests.conftest import csr_from_edges, level_loop
 
 EXACT_SEMIRINGS = [SELECT2ND_MIN, MIN_PLUS]
 OTHER_BACKENDS = [b for b in available_backends() if b != "numpy"]
@@ -137,6 +137,8 @@ def test_rcm_orderings_identical_across_paper_suite(backend):
         with use_backend(backend):
             assert np.array_equal(rcm_serial(A).perm, oracle), name
             assert np.array_equal(rcm_algebraic(A).perm, oracle), name
+            with level_loop():  # serial RCM on the backend's kernels
+                assert np.array_equal(rcm_serial(A).perm, oracle), name
 
 
 @pytest.mark.parametrize("backend", OTHER_BACKENDS)

@@ -39,7 +39,7 @@ from repro.semiring.spmspv import (
 from repro.sparse import CSRMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.spvector import SparseVector
-from tests.conftest import csr_from_edges
+from tests.conftest import csr_from_edges, level_loop
 
 try:
     import numba  # noqa: F401
@@ -347,7 +347,7 @@ def test_bfs_and_rcm_identical_under_numba(force_paths, path):
         l_nb, n_nb = bfs_levels(A, 0, backend=backend)
         assert np.array_equal(l_np, l_nb) and n_np == n_nb
         oracle = rcm_serial(A).perm
-        with backend_scope(f"numba:threads={backend.threads}"):
+        with backend_scope(f"numba:threads={backend.threads}"), level_loop():
             assert np.array_equal(rcm_serial(A).perm, oracle)
 
 
@@ -376,3 +376,27 @@ def test_measured_thread_scaling_runs(nb):
     assert identical
     assert set(seconds) == {1, 2}
     assert all(s > 0 for s in seconds.values())
+
+
+def test_snapshot_numba_block_runs_the_numba_kernels(nb, monkeypatch):
+    """The snapshot's numba BFS timings and its hard-gated bit-identity
+    check must reach numba's frontier kernels at every thread count —
+    ``bfs_levels`` without ``backend=`` is a csgraph traversal that
+    calls no kernel backend at all."""
+    from repro.bench.snapshot import SnapshotConfig, _compiled_backend_metrics
+
+    threads_seen = []
+    for kernel in ("expand_frontier", "expand_frontier_pull"):
+        inner = getattr(nb.NumbaBackend, kernel)
+
+        def counted(self, *args, _inner=inner, **kwargs):
+            threads_seen.append(self.threads)
+            return _inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(nb.NumbaBackend, kernel, counted)
+    config = SnapshotConfig(
+        quick=True, scale=0.3, repeats=1, compiled_matrix="nd24k", compiled_threads=(1, 2)
+    )
+    out = _compiled_backend_metrics(config, {})
+    assert out["backend.numba.bit_identical"]["value"] == 1.0
+    assert set(threads_seen) == {1, 2}

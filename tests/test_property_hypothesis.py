@@ -28,7 +28,7 @@ from repro.sparse import (
     is_permutation,
     permute_symmetric,
 )
-from tests.conftest import csr_from_edges
+from tests.conftest import csr_from_edges, level_loop
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +135,8 @@ def test_csc_csr_kernels_always_agree(g, seed):
 @settings(max_examples=30, deadline=None)
 def test_ordering_is_backend_invariant(g):
     """RCM orderings are bit-identical under every registered backend —
-    the backend registry's core contract, on arbitrary graphs."""
+    the backend registry's core contract, on arbitrary graphs.  The
+    level loop is where serial RCM calls the backend's kernels."""
     from repro.backends import available_backends, backend_scope
 
     n, edges = g
@@ -144,6 +145,8 @@ def test_ordering_is_backend_invariant(g):
     for backend in available_backends():
         with backend_scope(backend):
             assert np.array_equal(rcm_serial(A).perm, oracle), backend
+            with level_loop():
+                assert np.array_equal(rcm_serial(A).perm, oracle), backend
 
 
 # ----------------------------------------------------------------------
